@@ -19,12 +19,25 @@ class OpenFlags(enum.IntFlag):
     O_CREAT = 0x40
     O_TRUNC = 0x200
 
+    # These mask plain ints: ``Flag.__and__`` builds a flag object in
+    # Python on every call, and they run on every FUSE read and write.
+
     @property
     def readable(self) -> bool:
         """True when the flags permit reading."""
-        return not (self & OpenFlags.O_WRONLY)
+        return not int(self) & _WRONLY
 
     @property
     def writable(self) -> bool:
         """True when the flags permit writing."""
-        return bool(self & (OpenFlags.O_WRONLY | OpenFlags.O_RDWR))
+        return bool(int(self) & _WRITE_MODES)
+
+    @property
+    def creates(self) -> bool:
+        """True when ``O_CREAT`` is set."""
+        return bool(int(self) & _CREAT)
+
+
+_WRONLY = int(OpenFlags.O_WRONLY)
+_WRITE_MODES = int(OpenFlags.O_WRONLY) | int(OpenFlags.O_RDWR)
+_CREAT = int(OpenFlags.O_CREAT)

@@ -88,7 +88,7 @@ class FuseMount:
         Creation requires ``size`` because the store reserves space up
         front (``posix_fallocate`` semantics).
         """
-        if flags & OpenFlags.O_CREAT and not self.client.manager.exists(path):
+        if flags.creates and not self.client.manager.exists(path):
             if size is None:
                 raise FuseError(f"O_CREAT open of {path!r} requires a size")
             yield from self.client.create(path, size)

@@ -53,6 +53,9 @@ class MmapRegion:
         self.path = path
         self.length = length
         self.prot = prot
+        # Resolved once: ``Flag.__and__`` is costly on the access path.
+        self._readable = bool(prot & Protection.PROT_READ)
+        self._writable = bool(prot & Protection.PROT_WRITE)
         self.shared = shared
         self.offset = offset
         self.metrics = pagecache.metrics
@@ -69,9 +72,10 @@ class MmapRegion:
     def _check(self, offset: int, length: int, *, write: bool) -> None:
         if not self._mapped:
             raise MmapError(f"region over {self.path!r} has been unmapped")
-        if write and not (self.prot & Protection.PROT_WRITE):
-            raise MmapError("write to PROT_READ-only mapping")
-        if not write and not (self.prot & Protection.PROT_READ):
+        if write:
+            if not self._writable:
+                raise MmapError("write to PROT_READ-only mapping")
+        elif not self._readable:
             raise MmapError("read from PROT_WRITE-only mapping")
         if offset < 0 or length < 0 or offset + length > self.length:
             raise MmapError(

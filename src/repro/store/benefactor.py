@@ -47,13 +47,15 @@ class Benefactor:
                 f"logical capacity {max_contribution}"
             )
         self._reserved = 0  # bytes promised to the manager
-        # Chunk payloads (real bytes) and their SSD extents.
+        # Chunk payloads (real bytes) and their SSD extents.  A payload
+        # holds the chunk's written prefix; bytes past its end read as
+        # zero (see :meth:`_write` for when it is padded to full size).
         self._data: dict[int, bytearray] = {}
         self._extents: dict[int, int] = {}  # chunk_id -> ssd byte offset
-        self._free_extents: list[int] = list(
-            range(0, self.contribution - chunk_size + 1, chunk_size)
-        )
-        self._free_extents.reverse()  # pop() from low offsets first
+        # Extents are reused last-freed-first, then carved from never-used
+        # space at ascending offsets.
+        self._recycled_extents: list[int] = []
+        self._next_extent = 0
         # Hot-path counters, resolved on first use so untouched metrics
         # never materialize (snapshots stay identical to on-demand adds).
         self._in_counter = None
@@ -149,14 +151,38 @@ class Benefactor:
                 f"{self.name}: chunk {chunk_id} has no extent"
             ) from None
 
-    def _materialize(self, chunk_id: int) -> bytearray:
-        """Ensure the chunk has an extent and a (zero-filled) payload."""
-        if chunk_id not in self._data:
-            if not self._free_extents:
+    def _allocate_extent(self, chunk_id: int) -> None:
+        if self._recycled_extents:
+            extent = self._recycled_extents.pop()
+        else:
+            extent = self._next_extent
+            if extent + self.chunk_size > self.contribution:
                 raise CapacityError(f"{self.name}: no free extents")
-            self._extents[chunk_id] = self._free_extents.pop()
-            self._data[chunk_id] = bytearray(self.chunk_size)
-        return self._data[chunk_id]
+            self._next_extent = extent + self.chunk_size
+        self._extents[chunk_id] = extent
+
+    def _materialize(self, chunk_id: int) -> None:
+        """Ensure the chunk has an extent and a payload (empty at first:
+        the whole chunk reads as zeroes)."""
+        if chunk_id not in self._data:
+            self._allocate_extent(chunk_id)
+            self._data[chunk_id] = bytearray()
+
+    def _write(self, chunk_id: int, offset: int, data: bytes) -> None:
+        """Apply ``data`` at ``offset`` of a materialized chunk's payload.
+
+        A write past the stored prefix zero-extends the payload first (a
+        bytearray slice assigned past its end would append at the end
+        instead of landing at ``offset``).  Once the prefix would pass
+        half the chunk the payload is padded to full size, so chunks
+        written mostly full are loaned, not copied, on full fetches.
+        """
+        payload = self._exclusive(chunk_id)
+        end = offset + len(data)
+        if end > len(payload):
+            size = self.chunk_size if 2 * end > self.chunk_size else end
+            payload.extend(bytes(size - len(payload)))
+        payload[offset:end] = data
 
     def _exclusive(self, chunk_id: int) -> bytearray:
         """The chunk payload, made safe to mutate in place.
@@ -223,19 +249,14 @@ class Benefactor:
         shadow = self._fill_shadow.get(chunk_id)
         if shadow is not None:
             shadow.add(offset, offset + len(data))
-        if chunk_id in self._data:
-            payload = self._exclusive(chunk_id)
-            payload[offset : offset + len(data)] = data
-        elif len(data) == self.chunk_size:
+        if len(data) == self.chunk_size and chunk_id not in self._data:
             # First write covering the whole chunk: adopt one copy of the
-            # payload instead of zero-filling a buffer and overwriting it.
-            if not self._free_extents:
-                raise CapacityError(f"{self.name}: no free extents")
-            self._extents[chunk_id] = self._free_extents.pop()
+            # payload instead of growing a buffer and overwriting it.
+            self._allocate_extent(chunk_id)
             self._data[chunk_id] = bytearray(data)
         else:
-            payload = self._materialize(chunk_id)
-            payload[offset : offset + len(data)] = data
+            self._materialize(chunk_id)
+            self._write(chunk_id, offset, data)
         yield from self.ssd.write_extent(self._extent_of(chunk_id) + offset, len(data))
         counter = self._in_counter
         if counter is None:
@@ -264,11 +285,12 @@ class Benefactor:
         """Read chunk bytes and ship them to ``client``.
 
         Unmaterialized chunks read as zeroes (space reservation creates no
-        data, matching ``posix_fallocate`` semantics).  The returned
-        buffer behaves as a fetch-time snapshot: partial reads get a
-        fresh copy, full-chunk reads get a zero-copy loan of the live
-        payload that copy-on-write protects on both sides (see
-        :meth:`_exclusive`).
+        data, matching ``posix_fallocate`` semantics), and so do bytes
+        past a payload's written prefix.  The returned buffer behaves as
+        a fetch-time snapshot: it is always ``length`` bytes, a fresh
+        copy, except that a full-chunk read of a full-size payload gets
+        a zero-copy loan of the live payload that copy-on-write protects
+        on both sides (see :meth:`_exclusive`).
         """
         self._check_online()
         if length is None:
@@ -283,7 +305,8 @@ class Benefactor:
         stored = self._data.get(chunk_id)
         if stored is not None:
             yield from self.ssd.read_extent(self._extent_of(chunk_id) + offset, length)
-            if offset == 0 and length == len(stored):
+            end = offset + length
+            if length == self.chunk_size and len(stored) == length:
                 # Loan the live payload buffer instead of copying a
                 # quarter-megabyte per fetch.  Snapshot semantics are
                 # preserved copy-on-write: every mutation on this side
@@ -291,8 +314,13 @@ class Benefactor:
                 # outstanding), and the chunk cache unshares its entry
                 # before the first write on its side.
                 data = stored
+            elif end <= len(stored):
+                data = bytearray(memoryview(stored)[offset:end])
             else:
-                data = bytearray(memoryview(stored)[offset : offset + length])
+                # Past the written prefix: zero-padded fresh buffer.
+                data = bytearray(length)
+                if offset < len(stored):
+                    data[: len(stored) - offset] = memoryview(stored)[offset:]
         else:
             data = bytearray(length)  # reserved-but-unwritten: zeroes, no device read
         yield from self.node.network.transfer(self.name, client, len(data))
@@ -320,11 +348,10 @@ class Benefactor:
                 self._extent_of(src_chunk_id), self.chunk_size
             )
             if dst_chunk_id not in self._data:
-                if not self._free_extents:
-                    raise CapacityError(f"{self.name}: no free extents")
-                self._extents[dst_chunk_id] = self._free_extents.pop()
-            # Install a fresh copy wholesale: an outstanding loan of the
-            # old destination payload keeps its snapshot untouched.
+                self._allocate_extent(dst_chunk_id)
+            # Install a fresh copy (of the stored prefix) wholesale: an
+            # outstanding loan of the old destination payload keeps its
+            # snapshot untouched.
             self._data[dst_chunk_id] = bytearray(self._data[src_chunk_id])
             yield from self.ssd.write_extent(
                 self._extent_of(dst_chunk_id), self.chunk_size
@@ -364,11 +391,10 @@ class Benefactor:
         if data is None:
             return
         self._materialize(chunk_id)
-        payload = self._exclusive(chunk_id)
         extent = self._extent_of(chunk_id)
         written = 0
         for start, stop in shadow.gaps(0, self.chunk_size):
-            payload[start:stop] = data[start:stop]
+            self._write(chunk_id, start, data[start:stop])
             written += stop - start
         if written:
             yield from self.ssd.write_extent(extent, written)
@@ -384,15 +410,18 @@ class Benefactor:
             extent = self._extents.pop(chunk_id)
             del self._data[chunk_id]
             self.ssd.trim_extent(extent, self.chunk_size)
-            self._free_extents.append(extent)
+            self._recycled_extents.append(extent)
 
     # ------------------------------------------------------------------
     # Testing/verification access (not part of the service protocol)
     # ------------------------------------------------------------------
     def peek(self, chunk_id: int) -> bytes | None:
-        """The raw stored payload, for invariant checks in tests."""
+        """The stored chunk, zero-padded to full size, for invariant
+        checks in tests (``None`` when unmaterialized)."""
         data = self._data.get(chunk_id)
-        return bytes(data) if data is not None else None
+        if data is None:
+            return None
+        return bytes(data) + bytes(self.chunk_size - len(data))
 
     def __repr__(self) -> str:
         return (

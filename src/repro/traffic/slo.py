@@ -26,6 +26,7 @@ mmap → page-cache → chunk-cache → store stack (see
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.traffic.arrivals import OP_CKPT, OP_READ, OP_WRITE
 
@@ -33,9 +34,13 @@ from repro.traffic.arrivals import OP_CKPT, OP_READ, OP_WRITE
 OP_NAMES = {OP_READ: "read", OP_WRITE: "write", OP_CKPT: "ckpt-restore"}
 
 
-@dataclass(frozen=True)
-class RequestRecord:
-    """One issued request's life: schedule, outcome, virtual latency."""
+class RequestRecord(NamedTuple):
+    """One issued request's life: schedule, outcome, virtual latency.
+
+    A tuple of atomic fields, so the garbage collector stops tracking
+    each record after its first pass over it — a swarm keeps hundreds
+    of thousands of them.
+    """
 
     client: int
     op: int
