@@ -1,6 +1,6 @@
 # Convenience targets for the NVMalloc reproduction.
 
-.PHONY: install test test-faults test-lifecycle test-obs test-cache test-slo cache-ablation slo-curve bench bench-wallclock bench-floor bench-shards profile profile-layers trace experiments experiments-par examples clean
+.PHONY: install test test-faults test-lifecycle test-obs test-cache test-slo cache-ablation slo-curve bench bench-wallclock bench-floor profile profile-layers trace experiments experiments-par examples clean
 
 install:
 	pip install -e .
@@ -31,12 +31,6 @@ bench-wallclock:
 bench-floor:
 	PYTHONPATH=src python tools/bench_wallclock.py --output /tmp/bench_fresh.json
 	python tools/check_bench_floor.py /tmp/bench_fresh.json --require-all
-
-# Record the sharded-run scaling curve: the scaleout scenario at workers
-# {1,2,4}, failing unless every worker count digests bit-identically.
-bench-shards:
-	PYTHONPATH=src python tools/bench_wallclock.py --shards-bench \
-		--workloads --output BENCH_shards.json
 
 profile:
 	PYTHONPATH=src python tools/profile_stack.py --limit 25

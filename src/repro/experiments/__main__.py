@@ -119,12 +119,6 @@ def main(argv: list[str] | None = None) -> int:
         help="worker processes to fan experiments across (default: 1)",
     )
     parser.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="worker processes for sharded single-run experiments "
-             "(scaleout); execution-only knob, digests are invariant "
-             "(default: $REPRO_SHARDS or 1)",
-    )
-    parser.add_argument(
         "--cache", default=None, metavar="DIR",
         help=f"result-cache directory (default: $REPRO_RESULT_CACHE or "
              f"{DEFAULT_CACHE_DIR})",
@@ -156,13 +150,6 @@ def main(argv: list[str] | None = None) -> int:
         "--list", action="store_true", help="list experiments and exit"
     )
     args = parser.parse_args(argv)
-
-    if args.shards is not None:
-        if args.shards < 1:
-            parser.error("--shards must be >= 1")
-        # Sharded drivers read the knob from the environment so it also
-        # reaches orchestrator worker processes (fork inherits it).
-        os.environ["REPRO_SHARDS"] = str(args.shards)
 
     if args.trace_out and not args.trace:
         parser.error("--trace-out requires --trace")

@@ -113,8 +113,8 @@ class Engine:
         Timestamps are computed with one vectorized numpy add over the
         whole cohort, then events are binned (ring vs heap) in input
         order — bit-identical to calling :meth:`schedule` once per
-        event.  This is the bulk path the sharded runner uses to deliver
-        a lookahead window's worth of cross-shard messages.
+        event.  The open-loop traffic swarm uses it to insert a whole
+        arrival schedule at once.
         """
         import numpy as np
 

@@ -252,29 +252,6 @@ class Resource:
             # directly instead of re-deriving that through cancel().
             self.release(req)
 
-    def use_run(
-        self, durations: "Sequence[float] | np.ndarray"
-    ) -> Generator[Event, object, None]:
-        """Hold one slot once for a whole cohort of segment durations.
-
-        The cohort is served as a single grant/timeout/release whose
-        duration is the vectorized sum of ``durations`` — one
-        busy-interval update and one queue round trip for an N-segment
-        run, instead of N.  This is for runs the model *defines* as one
-        access (an N-page DRAM run, a multi-page device transfer), not
-        for merging independent accesses: collapsing separately-queued
-        accesses would change grant interleaving under contention and
-        with it the virtual timeline.
-        """
-        import numpy as np
-
-        darr = np.asarray(
-            durations if isinstance(durations, np.ndarray) else list(durations),
-            dtype=np.float64,
-        )
-        total = float(np.add.reduce(darr)) if darr.size else 0.0
-        yield from self.use(total)
-
     def __repr__(self) -> str:
         return (
             f"<Resource {self.name or id(self):#x} {self.in_use}/{self.capacity}"

@@ -3,10 +3,10 @@
 Everything here is *schedule construction*: pure numpy driven off
 ``np.random.default_rng`` seeds, no simulation state, no wall clock, no
 hash-ordering dependence.  A schedule built from the same seed is
-bit-identical across interpreter invocations (any ``PYTHONHASHSEED``),
-across the serial/parallel experiment orchestrators, and across
-``--shards`` execution modes — which is what lets the ``slo_traffic``
-experiment digest-pin its results like every other experiment.
+bit-identical across interpreter invocations (any ``PYTHONHASHSEED``)
+and across the serial/parallel experiment orchestrators — which is what
+lets the ``slo_traffic`` experiment digest-pin its results like every
+other experiment.
 
 Arrival processes are expressed at **unit rate** (one request per virtual
 second on average) and scaled by :meth:`RequestSchedule.at_rate`: the

@@ -140,7 +140,7 @@ def test_page_align_matches_reference(spans):
 
 
 def test_access_run_is_one_summed_access():
-    """``access_run``/``use_run`` equal one access of the summed size."""
+    """``access_run`` equals one access of the summed size."""
     from repro.devices.base import AccessKind
 
     sizes = [4096, 4096, 123, 8192]

@@ -1,6 +1,7 @@
 """Tests for the experiment CLI (`python -m repro.experiments`)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +34,14 @@ class TestCli:
         for name, (driver, description) in EXPERIMENTS.items():
             assert callable(driver)
             assert description
+
+    def test_registry_matches_pinned_digests(self):
+        # Adding or removing an experiment must repin the digest file.
+        pinned = Path(__file__).resolve().parent.parent / (
+            "benchmarks/EXPERIMENT_digests_tiny.json"
+        )
+        digests = json.loads(pinned.read_text())["digests"]
+        assert set(EXPERIMENTS) == set(digests)
 
     def test_per_experiment_wall_and_summary(self, capsys):
         assert main(["table1", "checkpoint", "--scale", "tiny", "--no-cache"]) == 0

@@ -103,3 +103,25 @@ def test_layers_diff_requires_layers(capsys):
         assert exc.code == 2
     else:  # pragma: no cover
         raise AssertionError("--diff without --layers should be rejected")
+
+
+def test_layer_self_time_subtracts_union_of_concurrent_children():
+    from types import SimpleNamespace
+
+    def span(span_id, parent_id, name, start, end):
+        return SimpleNamespace(
+            span_id=span_id, parent_id=parent_id, layer="app", name=name,
+            start=start, end=end, duration=end - start,
+        )
+
+    # Two overlapping children cover [1, 8]: the parent keeps 10 - 7.
+    rollup = profile_stack._layer_rollup(
+        [
+            span(1, None, "parent", 0.0, 10.0),
+            span(2, 1, "child", 1.0, 6.0),
+            span(3, 1, "child", 2.0, 8.0),
+        ]
+    )
+    assert rollup["app.parent"]["virtual_self"] == 3.0
+    assert rollup["app.parent"]["virtual_inclusive"] == 10.0
+    assert rollup["app.child"]["virtual_self"] == 11.0

@@ -2,10 +2,9 @@
 
 The contract under test (``repro/traffic/arrivals.py``): schedules are
 pure functions of their seed — bit-identical across interpreter
-invocations with different ``PYTHONHASHSEED`` values and indifferent to
-the ``--shards`` fan-out knob — and the per-client streams merge into
-one globally time-ordered sequence with deterministic tie-breaking.
-These are the invariants that let ``slo_traffic`` digest-pin its
+invocations with different ``PYTHONHASHSEED`` values — and the
+per-client streams merge into one globally time-ordered sequence with
+deterministic tie-breaking.  These are the invariants that let ``slo_traffic`` digest-pin its
 results like every other experiment.
 """
 
@@ -69,14 +68,6 @@ def test_schedule_bit_identical_across_hash_seeds():
             check=True,
         )
         assert result.stdout.strip() == expected, f"PYTHONHASHSEED={seed}"
-
-
-def test_schedule_ignores_repro_shards_env(monkeypatch):
-    """The --shards knob (via $REPRO_SHARDS) is digest-neutral here too."""
-    monkeypatch.delenv("REPRO_SHARDS", raising=False)
-    baseline = build_schedule(5, 8, 4).digest()
-    monkeypatch.setenv("REPRO_SHARDS", "3")
-    assert build_schedule(5, 8, 4).digest() == baseline
 
 
 @pytest.mark.parametrize("process", PROCESSES, ids=lambda p: type(p).__name__)

@@ -267,71 +267,6 @@ def bench_cache_tiering(scale: ExperimentScale) -> dict[str, object]:
     }
 
 
-def bench_shards_scaling(
-    scale: ExperimentScale, worker_counts: tuple[int, ...] = (1, 2, 4)
-) -> dict[str, object]:
-    """The sharded single-run scenario at several worker counts.
-
-    Runs the ``scaleout`` checkpoint-ingest simulation with workers in
-    ``worker_counts`` and records per-count walls, windows, and barrier
-    telemetry as a ``shards_scaling`` entry.  The worker count is an
-    execution knob only, so the entry also carries a ``digest_invariant``
-    verdict: every run's report digest must be bit-identical.  On a
-    single-core host the multi-worker walls are expected to be *slower*
-    (IPC per window with no parallel hardware underneath) — the entry
-    records ``cpu_count`` so the scaling curve is read in context.
-    """
-    from repro.experiments.scaleout import _build_report, spec_for
-    from repro.parallel.shards import run_sharded
-
-    spec = spec_for(scale)
-    entry: dict[str, object] = {
-        "experiment": "scaleout",
-        "num_shards": spec.num_shards,
-        "nodes_per_shard": spec.nodes_per_shard,
-        "lookahead_seconds": spec.lookahead,
-        "cpu_count": os.cpu_count(),
-        "workers": {},
-    }
-    digests: list[str] = []
-    base_wall: float | None = None
-    for workers in worker_counts:
-        result = run_sharded(spec, workers=workers)
-        report = _build_report(spec, result)
-        digests.append(report.digest())
-        if base_wall is None:
-            base_wall = result.wall_seconds
-        per = {
-            "wall_seconds": result.wall_seconds,
-            "windows": result.windows,
-            "events": result.events,
-            "events_per_second": (
-                result.events / result.wall_seconds if result.wall_seconds else 0.0
-            ),
-            "barrier_wait_seconds": result.barrier_wait_seconds,
-            "barrier_share": result.barrier_share,
-            "speedup_vs_workers1": (
-                base_wall / result.wall_seconds if result.wall_seconds else 0.0
-            ),
-            "digest": report.digest(),
-            "verified": report.verified,
-        }
-        entry["workers"][str(workers)] = per
-        print(
-            f"  shards workers={workers}: {result.wall_seconds:.2f}s wall, "
-            f"{result.windows} windows, "
-            f"{100 * result.barrier_share:.1f}% barrier, "
-            f"{per['speedup_vs_workers1']:.2f}x vs workers=1, "
-            f"digest {report.digest()[:16]}",
-            flush=True,
-        )
-    entry["digest_invariant"] = len(set(digests)) == 1
-    entry["verified"] = entry["digest_invariant"] and all(
-        per["verified"] for per in entry["workers"].values()
-    )
-    return entry
-
-
 def _bench_one(
     name: str, scale: ExperimentScale, repeat: int
 ) -> tuple[str, dict[str, object], list[float]]:
@@ -609,24 +544,7 @@ def main(argv: list[str] | None = None) -> int:
              "randwrite leg and record it as a 'cache_tiering' entry in "
              "the JSON",
     )
-    parser.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="worker processes for sharded single-run experiments "
-             "(sets $REPRO_SHARDS for the matrix passes; execution-only, "
-             "digests are invariant)",
-    )
-    parser.add_argument(
-        "--shards-bench", action="store_true",
-        help="run the scaleout scenario at workers {1,2,4}, record the "
-             "scaling curve as a 'shards_scaling' entry, and fail unless "
-             "all worker counts digest bit-identically",
-    )
     args = parser.parse_args(argv)
-
-    if args.shards is not None:
-        if args.shards < 1:
-            parser.error("--shards must be >= 1")
-        os.environ["REPRO_SHARDS"] = str(args.shards)
 
     if args.trace_out and not args.trace:
         parser.error("--trace-out requires --trace")
@@ -692,17 +610,6 @@ def main(argv: list[str] | None = None) -> int:
             )
             return 1
 
-    shards_entry: dict[str, object] | None = None
-    if args.shards_bench:
-        print(f"benchmarking sharded scaleout run at scale={scale.name}")
-        shards_entry = bench_shards_scaling(scale)
-        if not shards_entry["digest_invariant"]:
-            print(
-                "FAIL: scaleout digests diverged across worker counts",
-                file=sys.stderr,
-            )
-            return 1
-
     host = host_metadata()
     identical = True
     baseline = None
@@ -729,8 +636,6 @@ def main(argv: list[str] | None = None) -> int:
         "workloads": results,
         **matrix_entries,
     }
-    if shards_entry is not None:
-        report["shards_scaling"] = shards_entry
     if tracing_entry is not None:
         report["tracing"] = tracing_entry
     if cache_entry is not None:

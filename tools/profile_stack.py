@@ -15,8 +15,8 @@ reading the output:
 attribution: each workload runs once with tracing on, and the recorded
 span tree is rolled up into a per-``(layer, op)`` table — span count,
 inclusive virtual seconds, and self virtual seconds (inclusive minus
-direct children), plus the per-layer critical-path shares from
-:mod:`repro.obs.critical`.  All virtual columns are bit-deterministic
+the union of the direct children's intervals), plus the per-layer
+critical-path shares from :mod:`repro.obs.critical`.  All virtual columns are bit-deterministic
 (they replay the simulation's own clock); only the wall column moves
 between runs, and tracing inflates it.  ``--layers-out`` dumps the table
 as JSON, and ``--diff old.json`` prints the per-row deltas against an
@@ -55,23 +55,32 @@ from repro.experiments.configs import SMALL, TINY  # noqa: E402
 from repro.experiments.runner import track_testbeds  # noqa: E402
 from repro.obs.critical import critical_path  # noqa: E402
 from repro.obs.export import latency_json  # noqa: E402
+from repro.util.intervals import IntervalSet  # noqa: E402
 
 LAYERS_SCHEMA = 1
+
+#: Integer ticks per virtual second for the self-time interval arithmetic.
+TICKS = 10**12
+
+
+def _ticks(t: float) -> int:
+    return round(t * TICKS)
 
 
 def _layer_rollup(spans) -> dict[str, dict[str, float]]:
     """Per-``layer.op`` rollup of one tracer's span list.
 
-    ``virtual_self`` subtracts only *direct* children, so the self
-    columns of a parent chain never double-charge an interval; summing
-    self over every row of one trace recovers the roots' inclusive time.
+    ``virtual_self`` is a span's duration minus the length of the union
+    of its *direct* children's intervals, clipped to the span, in
+    integer ticks.  Concurrent children (ranks, requests) overlap, so
+    the union, not the sum, keeps self time non-negative.  Overlapping
+    siblings each keep their own self time, so the self column of one
+    trace can sum to more than the roots' inclusive time.
     """
-    child_seconds: dict[int, float] = {}
+    children: dict[int, list] = {}
     for span in spans:
         if span.parent_id is not None:
-            child_seconds[span.parent_id] = (
-                child_seconds.get(span.parent_id, 0.0) + span.duration
-            )
+            children.setdefault(span.parent_id, []).append(span)
     rollup: dict[str, dict[str, float]] = {}
     for span in spans:
         row = rollup.setdefault(
@@ -80,9 +89,17 @@ def _layer_rollup(spans) -> dict[str, dict[str, float]]:
         )
         row["count"] += 1
         row["virtual_inclusive"] += span.duration
-        row["virtual_self"] += span.duration - child_seconds.get(
-            span.span_id, 0.0
-        )
+        start, stop = _ticks(span.start), _ticks(span.end)
+        covered = 0
+        if span.span_id in children:
+            union = IntervalSet()
+            for child in children[span.span_id]:
+                c0 = max(_ticks(child.start), start)
+                c1 = min(_ticks(child.end), stop)
+                if c0 < c1:
+                    union.add(c0, c1)
+            covered = union.total()
+        row["virtual_self"] += (stop - start - covered) / TICKS
     return rollup
 
 
