@@ -482,7 +482,7 @@ class ChunkCache:
                     finally:
                         event, entry.writeback = entry.writeback, None
                         if event is not None:
-                            event.succeed(None)
+                            event.settle(None)
                     self.stats.writeback_bytes += nbytes
                     counter = self._writeback_counter
                     if counter is None:
@@ -496,7 +496,7 @@ class ChunkCache:
                 del ibucket[vindex]
                 if not ibucket:
                     del self._inflight_by_path[vpath]
-                done.succeed(None)
+                done.settle(None)
                 if span is not None:
                     tracer.end(span)
             self.stats.evictions += 1
@@ -593,7 +593,7 @@ class ChunkCache:
             del ibucket[index]
             if not ibucket:
                 del self._inflight_by_path[path]
-            done.succeed(None)
+            done.settle(None)
 
     def _spill(
         self, key: tuple[str, int], entry: _Entry, *, staged: bool
@@ -682,7 +682,7 @@ class ChunkCache:
         finally:
             event, entry.writeback = entry.writeback, None
             if event is not None:
-                event.succeed(None)
+                event.settle(None)
         self.stats.writeback_bytes += nbytes
         counter = self._writeback_counter
         if counter is None:
@@ -907,7 +907,7 @@ class ChunkCache:
                 self.daemon.release(req)
         finally:
             event, entry.filling = entry.filling, None
-            event.succeed(None)
+            event.settle(None)
         # Preserve bytes written before the fill (write-allocate case).
         nbytes = len(data)
         if type(data) is bytearray and nbytes == self.chunk_size:

@@ -292,7 +292,7 @@ class PageCache:
                         del ibucket[vidx]
                         if not ibucket:
                             del self._inflight_by_path[vpath]
-                        done.succeed(None)
+                        done.settle(None)
             if key in pages or key in inflight:
                 continue  # appeared (or re-entered eviction) while evicting
             return self._new_page(path, page_idx, data), True

@@ -210,6 +210,8 @@ class Tracer:
             flows = self._flows.get(flow_key)
             if flows:
                 link_trace, link_span = flows.popleft()
+                if not flows:
+                    del self._flows[flow_key]
                 self.end(span, link_trace=link_trace, link_span=link_span)
             else:
                 self.end(span)

@@ -39,6 +39,9 @@ class Communicator:
             raise CommError("communicator needs at least one rank")
         self.engine = engine
         self.nodes = nodes  # index = rank
+        # Only inboxes holding messages or waiting receivers exist: an
+        # empty inbox carries no state, so dropping it and building a
+        # fresh one on next use keeps FIFO order per key.
         self._inboxes: dict[tuple[int, int, int], Channel] = {}
         self._barrier_count = 0
         self._barrier_waiters: list[Event] = []
@@ -58,13 +61,10 @@ class Communicator:
         if not 0 <= rank < self.size:
             raise CommError(f"rank {rank} out of range (size {self.size})")
 
-    def _inbox(self, src: int, dst: int, tag: int) -> Channel:
-        key = (src, dst, tag)
+    def _inbox(self, key: tuple[int, int, int]) -> Channel:
         channel = self._inboxes.get(key)
         if channel is None:
-            channel = self._inboxes[key] = Channel(
-                self.engine, name=f"{src}->{dst}#{tag}"
-            )
+            channel = self._inboxes[key] = Channel(self.engine, name=key)
         return channel
 
     # ------------------------------------------------------------------
@@ -122,7 +122,11 @@ class Communicator:
                 dram._release(req)
         else:
             yield from src_node.network.transfer(src_node.name, dst_node.name, nbytes)
-        self._inbox(src, dest, tag).put(data)
+        key = (src, dest, tag)
+        channel = self._inbox(key)
+        channel.put(data)
+        if channel.idle:  # the put went straight to the only receiver
+            del self._inboxes[key]
 
     def recv(
         self, *, source: int, dst: int, tag: int = 0
@@ -144,7 +148,12 @@ class Communicator:
         """Receive the next message from ``source``."""
         self._check_rank(source)
         self._check_rank(dst)
-        data = yield self._inbox(source, dst, tag).get()
+        key = (source, dst, tag)
+        channel = self._inbox(key)
+        event = channel.get()
+        if channel.idle:  # took the last queued message
+            del self._inboxes[key]
+        data = yield event
         return data
 
     # ------------------------------------------------------------------

@@ -84,9 +84,17 @@ class ParallelFileSystem:
         (charges no simulated time)."""
         return bytes(self._file(name))
 
-    def put_initial(self, name: str, data: bytes) -> None:
+    def view(self, name: str) -> memoryview:
+        """A read-only, zero-copy view of the stored contents, for
+        verification in drivers (charges no simulated time)."""
+        return memoryview(self._file(name)).toreadonly()
+
+    def put_initial(
+        self, name: str, data: bytes | bytearray | memoryview
+    ) -> None:
         """Pre-populate a file without charging time (experiment setup:
-        input data already resides on scratch before the job starts)."""
+        input data already resides on scratch before the job starts).
+        The bytes of ``data`` are copied."""
         if name in self._files:
             raise StoreError(f"PFS file {name!r} already exists")
         self._files[name] = bytearray(data)
@@ -124,7 +132,7 @@ class ParallelFileSystem:
             )
         yield from self.network.transfer(self.ENDPOINT, client, length)
         self.metrics.add("pfs.read.bytes", length)
-        return bytes(data[offset : offset + length])
+        return bytes(memoryview(data)[offset : offset + length])
 
     def write(
         self, client: str, name: str, offset: int, payload: bytes

@@ -23,7 +23,7 @@ class Channel:
 
     __slots__ = ("engine", "name", "_items", "_getters")
 
-    def __init__(self, engine: "Engine", name: str = "") -> None:
+    def __init__(self, engine: "Engine", name: object = "") -> None:
         self.engine = engine
         self.name = name
         self._items: deque[object] = deque()
@@ -54,11 +54,17 @@ class Channel:
             self._getters.append(event)
         return event
 
+    @property
+    def idle(self) -> bool:
+        """True when no message is queued and no receiver is waiting."""
+        return not self._items and not self._getters
+
     def __len__(self) -> int:
         return len(self._items)
 
     def __repr__(self) -> str:
+        label = self.name if self.name != "" else f"{id(self):#x}"
         return (
-            f"<Channel {self.name or id(self):#x} items={len(self._items)}"
+            f"<Channel {label} items={len(self._items)}"
             f" waiting={len(self._getters)}>"
         )

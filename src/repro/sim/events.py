@@ -106,6 +106,27 @@ class Event:
                 heappush(engine._heap, (time, engine._seq, self))
         return self
 
+    def settle(self, value: object = None) -> "Event":
+        """Trigger now with ``value``; skip dispatch when nobody waits.
+
+        With a callback registered this is exactly :meth:`succeed`.
+        Without one, dispatching the event would run nothing, so it is
+        marked processed in place: no ring entry, no dispatch count.
+        Only for events nothing can subscribe to afterwards -- a
+        completion marker its owner unpublished just before settling.
+        A later ``yield`` of a settled event resumes at once instead of
+        after the rest of the instant's ring, which would reorder.
+        """
+        if self.callbacks is not None:
+            return self.succeed(value)
+        if self._scheduled:
+            raise SimulationError(f"{self!r} has already been triggered")
+        self._value = value
+        self._ok = True
+        self._scheduled = True
+        self.callbacks = _PROCESSED
+        return self
+
     def fail(self, exception: BaseException, *, delay: float = 0.0) -> "Event":
         """Schedule this event to trigger by raising ``exception``."""
         if not isinstance(exception, BaseException):

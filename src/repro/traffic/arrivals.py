@@ -18,6 +18,7 @@ rates, so load is the only variable between legs of a latency curve.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -124,12 +125,19 @@ class ParetoSizes:
     hi: int = 64 * 1024
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return self.scale(self.draw(rng, n))
+
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """The raw Pareto draws :meth:`scale` turns into sizes."""
         if not (self.alpha > 0 and 0 < self.lo <= self.hi):
             raise NVMallocError(
                 f"bad Pareto sampler ({self.alpha}, {self.lo}, {self.hi})"
             )
-        sizes = self.lo * (1.0 + rng.pareto(self.alpha, size=n))
-        return np.minimum(sizes, self.hi).astype(np.int64)
+        return rng.pareto(self.alpha, size=n)
+
+    def scale(self, raw: np.ndarray) -> np.ndarray:
+        """Byte sizes for raw draws of any shape, element by element."""
+        return np.minimum(self.lo * (1.0 + raw), self.hi).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -145,6 +153,15 @@ class ZipfKeys:
     s: float = 1.1
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return self.lookup(rng.random(n))
+
+    def lookup(self, uniform: np.ndarray) -> np.ndarray:
+        """Key indices for uniform draws of any shape, element by element."""
+        return np.searchsorted(self.cdf, uniform, side="right").astype(np.int64)
+
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """The normalized cumulative ``1/k^s`` weights, built once."""
         if self.num_keys <= 0 or self.s < 0:
             raise NVMallocError(f"bad Zipf sampler ({self.num_keys}, {self.s})")
         weights = 1.0 / np.power(
@@ -152,7 +169,7 @@ class ZipfKeys:
         )
         cdf = np.cumsum(weights)
         cdf /= cdf[-1]
-        return np.searchsorted(cdf, rng.random(n), side="right").astype(np.int64)
+        return cdf
 
 
 # ----------------------------------------------------------------------
@@ -245,30 +262,32 @@ def build_schedule(
     keys = keys if keys is not None else ZipfKeys(num_keys=64)
 
     streams = np.random.SeedSequence(seed).spawn(num_clients)
-    n = num_clients * per_client
-    all_times = np.empty(n, dtype=np.float64)
-    all_clients = np.empty(n, dtype=np.int64)
-    all_seq = np.empty(n, dtype=np.int64)
-    all_keys = np.empty(n, dtype=np.int64)
-    all_sizes = np.empty(n, dtype=np.int64)
-    all_ops = np.empty(n, dtype=np.int8)
+    shape = (num_clients, per_client)
+    gaps = np.empty(shape, dtype=np.float64)
+    key_draws = np.empty(shape, dtype=np.float64)
+    size_draws = np.empty(shape, dtype=np.float64)
+    op_draws = np.empty(shape, dtype=np.float64)
+    # Only the random draws are per client, in each client's own stream
+    # and in a fixed order; everything derived from them is elementwise
+    # or row-wise, so it runs once over the clients x requests matrix.
     for client, stream in enumerate(streams):
         rng = np.random.default_rng(stream)
-        lo = client * per_client
-        hi = lo + per_client
-        # Per-client arrivals are spaced for the whole swarm's unit rate:
-        # N clients each firing at 1/N requests/s aggregate to rate 1.
-        gaps = process.interarrivals(rng, per_client) * num_clients
-        all_times[lo:hi] = np.cumsum(gaps)
-        all_clients[lo:hi] = client
-        all_seq[lo:hi] = np.arange(per_client)
-        all_keys[lo:hi] = keys.sample(rng, per_client)
-        all_sizes[lo:hi] = sizes.sample(rng, per_client)
-        draw = rng.random(per_client)
-        ops = np.full(per_client, OP_WRITE, dtype=np.int8)
-        ops[draw < read_fraction] = OP_READ
-        ops[draw >= 1.0 - checkpoint_fraction] = OP_CKPT
-        all_ops[lo:hi] = ops
+        gaps[client] = process.interarrivals(rng, per_client)
+        key_draws[client] = rng.random(per_client)
+        size_draws[client] = sizes.draw(rng, per_client)
+        op_draws[client] = rng.random(per_client)
+    # Per-client arrivals are spaced for the whole swarm's unit rate:
+    # N clients each firing at 1/N requests/s aggregate to rate 1.
+    gaps *= num_clients
+    all_times = np.cumsum(gaps, axis=1).ravel()
+    all_clients = np.repeat(np.arange(num_clients, dtype=np.int64), per_client)
+    all_seq = np.tile(np.arange(per_client, dtype=np.int64), num_clients)
+    all_keys = keys.lookup(key_draws).ravel()
+    all_sizes = sizes.scale(size_draws).ravel()
+    all_ops = np.full(shape, OP_WRITE, dtype=np.int8)
+    all_ops[op_draws < read_fraction] = OP_READ
+    all_ops[op_draws >= 1.0 - checkpoint_fraction] = OP_CKPT
+    all_ops = all_ops.ravel()
     order = np.lexsort((all_seq, all_clients, all_times))
     return RequestSchedule(
         times=all_times[order],

@@ -102,6 +102,8 @@ class _SliceStore:
             take = min(stop - cursor, self._part_count(part) - inner)
             out.append((yield from part.read_slice(inner, inner + take)))
             cursor += take
+        if len(out) == 1:
+            return out[0]  # read_slice results are fresh, caller-owned arrays
         return np.concatenate(out) if out else np.empty(0, dtype=np.float64)
 
     def write(self, start: int, values: np.ndarray) -> Generator[Event, object, None]:
@@ -197,46 +199,34 @@ def _exchange(
     Returns this rank's received (unsorted) fragments.
     """
     size = ctx.size
-    buckets: list[list[np.ndarray]] = [[] for _ in range(size)]
     count = store.total
+    local = np.empty(count, dtype=np.float64)
+    levels = max(1, int(np.log2(max(size, 2))))
     for start in range(0, count, config.block_elements):
         stop = min(start + config.block_elements, count)
         block = yield from store.read(start, stop)
-        yield from ctx.compute(SORT_FLOPS_PER_CMP * len(block) * max(
-            1, int(np.log2(max(size, 2)))
-        ))
-        dest = np.searchsorted(splitters, block, side="right")
-        # One stable argsort groups the block by destination rank; each
-        # bucket gets a view into ``grouped`` holding exactly the
-        # elements (in exactly the order) that per-rank boolean masks
-        # would have copied out — one materialized array instead of
-        # ``size`` fancy-index copies per block.
-        order = np.argsort(dest, kind="stable")
-        grouped = block[order]
-        bounds = np.searchsorted(dest[order], np.arange(size + 1))
-        for r in range(size):
-            lo, hi = bounds[r], bounds[r + 1]
-            if hi > lo:
-                buckets[r].append(grouped[lo:hi])
-    fragments: list[np.ndarray] = []
-    mine = (
-        np.concatenate(buckets[ctx.rank]) if buckets[ctx.rank]
-        else np.empty(0, dtype=np.float64)
-    )
-    fragments.append(mine)
+        yield from ctx.compute(SORT_FLOPS_PER_CMP * len(block) * levels)
+        local[start:stop] = block
+        del block
+    # One stable argsort over the whole slice groups it by destination
+    # rank: each destination's elements come out in slice order, which
+    # is block order and, within a block, index order -- exactly the
+    # per-block groupings concatenated.  Every payload is a view into
+    # ``grouped``, so the slice is materialized once.
+    dest = np.searchsorted(splitters, local, side="right")
+    order = np.argsort(dest, kind="stable")
+    grouped = local[order]
+    bounds = np.searchsorted(dest[order], np.arange(size + 1)).tolist()
+    del local, dest, order
+    me = ctx.rank
+    fragments = [grouped[bounds[me] : bounds[me + 1]]]
     for r in range(size):
-        if r == ctx.rank:
-            continue
-        payload = (
-            np.concatenate(buckets[r]) if buckets[r]
-            else np.empty(0, dtype=np.float64)
-        )
-        yield from ctx.send(payload, dest=r, tag=60)
+        if r != me:
+            yield from ctx.send(grouped[bounds[r] : bounds[r + 1]], dest=r, tag=60)
     for r in range(size):
-        if r == ctx.rank:
-            continue
-        incoming = yield from ctx.recv(source=r, tag=60)
-        fragments.append(np.asarray(incoming))
+        if r != me:
+            incoming = yield from ctx.recv(source=r, tag=60)
+            fragments.append(np.asarray(incoming))
     return fragments
 
 
@@ -247,7 +237,11 @@ def _external_sort(
     *,
     allow_nvm: bool,
 ) -> Generator[Event, object, "_SortedRuns"]:
-    """Sort received fragments into runs (DRAM-windowed, NVM-spilled)."""
+    """Sort received fragments into runs (DRAM-windowed, NVM-spilled).
+
+    Consumes ``fragments``: the list is emptied once its contents are
+    copied out, so the senders' buffers they view can be freed.
+    """
     total = int(sum(len(f) for f in fragments))
     window = max(config.dram_elements_per_rank, 1)
     store = yield from _make_store(
@@ -261,6 +255,7 @@ def _external_sort(
         np.concatenate(fragments) if fragments
         else np.empty(0, dtype=np.float64)
     )
+    fragments.clear()
     runs: list[tuple[int, int]] = []
     for start in range(0, total, window):
         stop = min(start + window, total)
@@ -297,18 +292,19 @@ class _SortedRuns:
             start, stop = self.runs[0]
             return (yield from self.store.read(start, stop))
         block = config.block_elements
-        pieces: list[np.ndarray] = []
+        merged = np.empty(self.total, dtype=np.float64)
         for start, stop in self.runs:
             pos = start
             while pos < stop:
                 take = min(block, stop - pos)
-                pieces.append((yield from self.store.read(pos, pos + take)))
+                merged[pos : pos + take] = yield from self.store.read(pos, pos + take)
                 pos += take
         k = len(self.runs)
         yield from ctx.compute(
             SORT_FLOPS_PER_CMP * self.total * max(1, int(np.log2(k)))
         )
-        return np.sort(np.concatenate(pieces), kind="mergesort")
+        merged.sort(kind="mergesort")
+        return merged
 
 
 # ----------------------------------------------------------------------
@@ -360,6 +356,7 @@ def _sort_dataset_pass(
                 (stop - pos) * 8,
             )
             yield from store.write(loaded, np.frombuffer(raw, dtype=np.float64))
+            del raw  # not held through the exchange that follows
             loaded += stop - pos
             pos = stop
         cursor += seg_count
@@ -450,12 +447,13 @@ def run_quicksort(
     job: Job, pfs: ParallelFileSystem, config: SortConfig
 ) -> SortResult:
     """Stage the input, run the sort, verify the PFS output."""
-    rng = np.random.default_rng(config.seed)
-    data = rng.random(config.total_elements)
     for name in (INPUT, OUTPUT, RUN.format(half=0), RUN.format(half=1)):
         if pfs.exists(name):
             pfs.unlink(name)
-    pfs.put_initial(INPUT, data.tobytes())
+    # The PFS copy is the only one kept: verification reads it back.
+    keys = np.random.default_rng(config.seed).random(config.total_elements)
+    pfs.put_initial(INPUT, memoryview(keys))
+    del keys
 
     start = job.engine.now
     _, results = job.run(lambda ctx: _sort_rank(ctx, config, pfs))
@@ -472,7 +470,8 @@ def run_quicksort(
             r[phase] for r in results  # type: ignore[index]
         )
     if config.verify:
-        out = np.frombuffer(pfs.read_raw(OUTPUT), dtype=np.float64)
+        data = np.frombuffer(pfs.view(INPUT), dtype=np.float64)
+        out = np.frombuffer(pfs.view(OUTPUT), dtype=np.float64)
         result.verified = bool(
             len(out) == len(data) and np.array_equal(out, np.sort(data))
         )

@@ -116,3 +116,84 @@ def test_repeated_barriers_stay_synchronized(num_ranks, rounds):
     for round_ in range(rounds):
         instants = {times[rank][round_] for rank in range(num_ranks)}
         assert len(instants) == 1, f"barrier {round_} released at {instants}"
+
+
+# ----------------------------------------------------------------------
+# Inbox lifetime: an inbox exists only while it holds messages or
+# waiting receivers
+# ----------------------------------------------------------------------
+PATTERNS = ["all_to_all", "bcast", "gather", "allgather", "barrier"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    num_ranks=st.integers(min_value=1, max_value=12),
+    pattern=st.sampled_from(PATTERNS),
+    rounds=st.integers(min_value=1, max_value=3),
+)
+def test_no_inbox_outlives_its_messages(num_ranks, pattern, rounds):
+    engine, comm = make_comm(num_ranks)
+    root = num_ranks // 2
+
+    def rank_fn(rank):
+        for round_ in range(rounds):
+            if pattern == "all_to_all":
+                for dest in range(num_ranks):
+                    if dest != rank:
+                        yield from comm.send(rank, src=rank, dest=dest, tag=round_)
+                for src in range(num_ranks):
+                    if src != rank:
+                        yield from comm.recv(source=src, dst=rank, tag=round_)
+            elif pattern == "bcast":
+                yield from comm.bcast(round_, root=root, rank=rank)
+            elif pattern == "gather":
+                yield from comm.gather(rank, root=root, rank=rank)
+            elif pattern == "allgather":
+                yield from comm.allgather(rank, rank=rank)
+            else:
+                yield engine.timeout(0.01 * (rank % 3))
+                yield from comm.barrier(rank=rank)
+        return True
+
+    engine.run_all([engine.process(rank_fn(r)) for r in range(num_ranks)])
+    assert comm._inboxes == {}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    bursts=st.lists(
+        st.tuples(st.integers(min_value=1, max_value=5), st.booleans()),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_fifo_holds_across_dropped_and_recreated_inboxes(bursts):
+    """One key carries bursts of messages.  Burst ``i`` is sent at time
+    ``i + 1``; its receives are posted either before it (waiting
+    receivers) or after it (queued messages).  The inbox is gone after
+    every drained burst and recreated by the next, and the messages
+    still arrive in send order."""
+    engine, comm = make_comm(2)
+    key = (0, 1, 7)
+    received: list[int] = []
+    gone_after_burst: list[bool] = []
+
+    def sender():
+        seq = 0
+        for i, (count, _) in enumerate(bursts):
+            yield engine.timeout(i + 1.0 - engine.now)
+            for _ in range(count):
+                yield from comm.send(seq, src=0, dest=1, tag=7)
+                seq += 1
+
+    def receiver():
+        for i, (count, early) in enumerate(bursts):
+            yield engine.timeout(i + (0.5 if early else 1.5) - engine.now)
+            for _ in range(count):
+                received.append((yield from comm.recv(source=0, dst=1, tag=7)))
+            gone_after_burst.append(key not in comm._inboxes)
+
+    engine.run_all([engine.process(sender()), engine.process(receiver())])
+    assert received == list(range(sum(count for count, _ in bursts)))
+    assert all(gone_after_burst)
+    assert comm._inboxes == {}

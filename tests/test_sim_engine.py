@@ -51,6 +51,62 @@ class TestEventBasics:
         assert seen == ["done"]
 
 
+class TestSettle:
+    """``Event.settle``: a completion marker nobody waits on skips the
+    ring; one with a waiter fires exactly as ``succeed`` would."""
+
+    def test_unawaited_marker_skips_the_ring(self, engine):
+        marker = engine.event()
+        engine.run()
+        ring, dispatched = len(engine._ring), engine.events_processed
+        marker.settle("done")
+        assert len(engine._ring) == ring
+        assert marker.processed and marker.value == "done"
+        engine.run()
+        assert engine.events_processed == dispatched
+
+    def test_settle_twice_rejected(self, engine):
+        marker = engine.event()
+        marker.settle()
+        with pytest.raises(SimulationError):
+            marker.settle()
+        with pytest.raises(SimulationError):
+            marker.succeed()
+
+    @pytest.mark.parametrize("waiters", [1, 2])
+    def test_awaited_marker_resumes_like_succeed(self, waiters):
+        def timeline(trigger):
+            engine = Engine()
+            marker = engine.event()
+            log = []
+
+            def waiter(name):
+                value = yield marker
+                log.append((name, engine.now, value))
+                yield engine.timeout(0)
+                log.append((name + "+", engine.now))
+
+            def bystander():
+                for i in range(3):
+                    yield engine.timeout(0)
+                    log.append(("by", i, engine.now))
+
+            def owner():
+                yield engine.timeout(1.0)
+                engine.process(bystander())
+                getattr(marker, trigger)(7)
+                log.append(("owner", engine.now))
+                yield engine.timeout(0)
+                log.append(("owner+", engine.now))
+
+            procs = [engine.process(waiter(f"w{i}")) for i in range(waiters)]
+            procs.append(engine.process(owner()))
+            engine.run_all(procs)
+            return log, engine.events_processed, engine.now
+
+        assert timeline("settle") == timeline("succeed")
+
+
 class TestClock:
     def test_starts_at_zero(self, engine):
         assert engine.now == 0.0

@@ -184,3 +184,20 @@ class TestChannel:
         chan.put(1)
         chan.put(2)
         assert len(chan) == 2
+
+    def test_idle_tracks_messages_and_waiters(self, engine):
+        chan = Channel(engine)
+        assert chan.idle
+        chan.put(1)
+        assert not chan.idle
+        chan.get()
+        assert chan.idle
+        chan.get()  # a waiting receiver
+        assert not chan.idle
+
+    def test_repr_shows_name_or_identity(self, engine):
+        assert "<Channel (0, 1, 60) items=0 waiting=0>" == repr(
+            Channel(engine, name=(0, 1, 60))
+        )
+        assert repr(Channel(engine, name="inbox")).startswith("<Channel inbox ")
+        assert repr(Channel(engine)).startswith("<Channel 0x")

@@ -32,7 +32,7 @@ from repro.traffic import (
     summarize,
     window_summary,
 )
-from repro.traffic.arrivals import OP_CKPT, OP_READ, OP_WRITE
+from repro.traffic.arrivals import OP_CKPT, OP_READ, OP_WRITE, RequestSchedule
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -111,6 +111,75 @@ def test_merged_stream_globally_time_ordered(
     for client in range(num_clients):
         own = times[schedule.clients == client]
         assert np.all(np.diff(own) > 0.0)
+
+
+def _per_client_schedule(
+    seed, num_clients, per_client, process, sizes, keys,
+    read_fraction, checkpoint_fraction,
+):
+    """Reference builder: every client's arrivals, keys, sizes and ops
+    derived one client at a time, then merged."""
+    weights = 1.0 / np.power(
+        np.arange(1, keys.num_keys + 1, dtype=np.float64), keys.s
+    )
+    parts = {name: [] for name in ("times", "clients", "seq", "keys", "sizes", "ops")}
+    for client, stream in enumerate(np.random.SeedSequence(seed).spawn(num_clients)):
+        rng = np.random.default_rng(stream)
+        gaps = process.interarrivals(rng, per_client) * num_clients
+        parts["times"].append(np.cumsum(gaps))
+        parts["clients"].append(np.full(per_client, client, dtype=np.int64))
+        parts["seq"].append(np.arange(per_client, dtype=np.int64))
+        cdf = np.cumsum(weights)
+        cdf /= cdf[-1]
+        parts["keys"].append(
+            np.searchsorted(cdf, rng.random(per_client), side="right").astype(np.int64)
+        )
+        raw = sizes.lo * (1.0 + rng.pareto(sizes.alpha, size=per_client))
+        parts["sizes"].append(np.minimum(raw, sizes.hi).astype(np.int64))
+        draw = rng.random(per_client)
+        ops = np.full(per_client, OP_WRITE, dtype=np.int8)
+        ops[draw < read_fraction] = OP_READ
+        ops[draw >= 1.0 - checkpoint_fraction] = OP_CKPT
+        parts["ops"].append(ops)
+    cols = {name: np.concatenate(arrays) for name, arrays in parts.items()}
+    order = np.lexsort((cols["seq"], cols["clients"], cols["times"]))
+    return RequestSchedule(
+        times=cols["times"][order],
+        clients=cols["clients"][order],
+        keys=cols["keys"][order],
+        sizes=cols["sizes"][order],
+        ops=cols["ops"][order],
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    num_clients=st.integers(min_value=1, max_value=24),
+    per_client=st.integers(min_value=1, max_value=16),
+    which=st.integers(min_value=0, max_value=len(PROCESSES) - 1),
+    num_keys=st.integers(min_value=1, max_value=300),
+    s=st.floats(min_value=0.0, max_value=2.5),
+    alpha=st.floats(min_value=0.5, max_value=3.0),
+    read_fraction=st.floats(min_value=0.0, max_value=0.8),
+    checkpoint_fraction=st.floats(min_value=0.0, max_value=0.2),
+)
+def test_matrix_build_matches_per_client_builder(
+    seed, num_clients, per_client, which, num_keys, s, alpha,
+    read_fraction, checkpoint_fraction,
+):
+    keys = ZipfKeys(num_keys=num_keys, s=s)
+    sizes = ParetoSizes(alpha=alpha, lo=128, hi=32 * 1024)
+    args = (seed, num_clients, per_client, PROCESSES[which], sizes, keys,
+            read_fraction, checkpoint_fraction)
+    built = build_schedule(
+        seed, num_clients, per_client, process=PROCESSES[which],
+        sizes=sizes, keys=keys, read_fraction=read_fraction,
+        checkpoint_fraction=checkpoint_fraction,
+    )
+    assert built.digest() == _per_client_schedule(*args).digest()
+    # The key sampler built its CDF once and kept it for every client.
+    assert "cdf" in vars(keys)
 
 
 @settings(max_examples=25, deadline=None)

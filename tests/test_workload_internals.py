@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.configs import TINY
 from repro.experiments.runner import Testbed
@@ -11,7 +13,12 @@ from repro.workloads.matmul import (
     _bcast_group,
     _input_matrices,
 )
-from repro.workloads.quicksort import SortConfig, _SliceStore, _make_store
+from repro.workloads.quicksort import (
+    SortConfig,
+    _exchange,
+    _make_store,
+    _SliceStore,
+)
 from repro.workloads.stream import StreamConfig, StreamKernel, _expected_values
 
 
@@ -147,3 +154,87 @@ class TestSortConfigHelpers:
             return True
 
         assert job.engine.run(job.engine.process(proc()))
+
+
+def _per_block_payloads(local, splitters, size, block):
+    """Per-destination payloads as the exchange used to build them: each
+    streamed block grouped by destination on its own, the groups of one
+    destination concatenated across blocks."""
+    buckets = [[] for _ in range(size)]
+    for start in range(0, len(local), block):
+        chunk = local[start : start + block]
+        dest = np.searchsorted(splitters, chunk, side="right")
+        order = np.argsort(dest, kind="stable")
+        grouped = chunk[order]
+        bounds = np.searchsorted(dest[order], np.arange(size + 1))
+        for r in range(size):
+            if bounds[r + 1] > bounds[r]:
+                buckets[r].append(grouped[bounds[r] : bounds[r + 1]])
+    return [
+        np.concatenate(b) if b else np.empty(0, dtype=np.float64)
+        for b in buckets
+    ]
+
+
+class TestSortExchange:
+    @settings(max_examples=12, deadline=None)
+    @given(
+        procs_per_node=st.integers(min_value=1, max_value=3),
+        block=st.integers(min_value=1, max_value=40),
+        seed=st.integers(min_value=0, max_value=2**16),
+        data=st.data(),
+    )
+    def test_payloads_match_per_block_grouping(
+        self, procs_per_node, block, seed, data
+    ):
+        testbed, job = make_job(x=procs_per_node, y=2, z=2)
+        size = job.config.num_ranks
+        counts = data.draw(
+            st.lists(st.integers(0, 90), min_size=size, max_size=size)
+        )
+        rng = np.random.default_rng(seed)
+        # Few distinct keys: ties with each other and with the splitters.
+        slices = [rng.integers(0, 12, n).astype(np.float64) for n in counts]
+        splitters = np.sort(rng.integers(0, 12, size - 1)).astype(np.float64)
+        config = SortConfig(total_elements=1, block_elements=block)
+        sent = {}
+        send = job.comm.send
+
+        def recording_send(payload, *, src, dest, tag=0):
+            sent[(src, dest)] = payload
+            return send(payload, src=src, dest=dest, tag=tag)
+
+        job.comm.send = recording_send
+
+        def rank_main(ctx):
+            mine = slices[ctx.rank]
+            store = yield from _make_store(ctx, max(len(mine), 1), 25, tag="x")
+            store.counts[-1] -= store.total - len(mine)
+            yield from store.write(0, mine)
+            fragments = yield from _exchange(ctx, store, splitters, config)
+            yield from store.free(ctx)
+            return fragments
+
+        _, results = job.run(rank_main)
+        expected = [
+            _per_block_payloads(slices[r], splitters, size, block)
+            for r in range(size)
+        ]
+        for dst, fragments in enumerate(results):
+            sources = [dst] + [r for r in range(size) if r != dst]
+            assert len(fragments) == size
+            for src, fragment in zip(sources, fragments):
+                want = expected[src][dst]
+                assert fragment.dtype == want.dtype
+                assert np.array_equal(fragment, want)
+                if src != dst:
+                    assert np.array_equal(sent[(src, dst)], want)
+        # Each rank's payloads are views into one grouped copy of its
+        # slice, not per-destination copies.
+        for src in range(size):
+            payloads = [results[src][0]] + [
+                sent[(src, r)] for r in range(size) if r != src
+            ]
+            bases = {id(p.base) for p in payloads if len(p)}
+            assert all(p.base is not None for p in payloads if len(p))
+            assert len(bases) <= 1
